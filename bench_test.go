@@ -9,6 +9,8 @@ package graphbench_test
 import (
 	"bytes"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -28,6 +30,7 @@ import (
 	"graphbench/internal/partition"
 	"graphbench/internal/plan"
 	"graphbench/internal/pregel"
+	"graphbench/internal/serve"
 	"graphbench/internal/sim"
 	"graphbench/internal/snapshot"
 )
@@ -675,5 +678,44 @@ func BenchmarkPlanner(b *testing.B) {
 		if d.System == "" {
 			b.Fatal("empty decision")
 		}
+	}
+}
+
+// BenchmarkServeHit measures one cached graphserve query per endpoint,
+// in process through Server.ServeHTTP: planning (system=auto), cache
+// lookup, answer extraction and JSON encoding, with no engine run. It
+// serves the wrn fixture at the default scale, the largest of the
+// benchmark's serve datasets, so per-hit work that grows with V shows.
+// Every key is warmed before timing; allocations per hit are serve-path
+// overhead, so the allocs gate tracks them.
+func BenchmarkServeHit(b *testing.B) {
+	srv, err := serve.New(serve.Config{Seed: 1, Datasets: []datasets.Name{datasets.WRN}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	for _, q := range []struct{ name, path string }{
+		{"pagerank", "/v1/pagerank?dataset=wrn&machines=32"},
+		{"wcc", "/v1/wcc?dataset=wrn&machines=32&vertex=3"},
+		{"sssp", "/v1/sssp?dataset=wrn&machines=32&vertex=3"},
+		{"triangle", "/v1/triangle?dataset=wrn&machines=32"},
+		{"lpa", "/v1/lpa?dataset=wrn&machines=32&vertex=3"},
+	} {
+		b.Run(q.name, func(b *testing.B) {
+			req := httptest.NewRequest(http.MethodGet, q.path, nil)
+			serveOK := func() {
+				w := httptest.NewRecorder()
+				srv.ServeHTTP(w, req)
+				if w.Code != http.StatusOK {
+					b.Fatalf("%s: status %d: %s", q.path, w.Code, w.Body)
+				}
+			}
+			serveOK() // miss: runs the engine and fills the cache
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serveOK()
+			}
+		})
 	}
 }

@@ -43,7 +43,6 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -169,6 +168,10 @@ type Server struct {
 	requests uint64
 	latency  *metrics.Histogram
 
+	// byEndpoint holds one latency histogram per /v1 workload, keyed by
+	// the workload name; filled in New and never mutated after.
+	byEndpoint map[string]*metrics.Histogram
+
 	faultsInjected   atomic.Uint64 // chaos faults that actually fired
 	faultsRecovered  atomic.Uint64 // faults absorbed by engine recovery
 	retriesTotal     atomic.Uint64 // serve-level run retries
@@ -212,16 +215,17 @@ func New(cfg Config) (*Server, error) {
 		byCode:   make(map[int]uint64),
 		latency:  metrics.NewHistogram(),
 
+		byEndpoint:    make(map[string]*metrics.Histogram),
 		planDecisions: make(map[string]string),
 	}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/pagerank", s.instrument(s.handleQuery(engine.PageRank)))
-	s.mux.HandleFunc("GET /v1/wcc", s.instrument(s.handleQuery(engine.WCC)))
-	s.mux.HandleFunc("GET /v1/sssp", s.instrument(s.handleQuery(engine.SSSP)))
-	s.mux.HandleFunc("GET /v1/triangle", s.instrument(s.handleQuery(engine.Triangle)))
-	s.mux.HandleFunc("GET /v1/lpa", s.instrument(s.handleQuery(engine.LPA)))
+	for _, kind := range []engine.Kind{engine.PageRank, engine.WCC, engine.SSSP, engine.Triangle, engine.LPA} {
+		h := metrics.NewHistogram()
+		s.byEndpoint[kind.String()] = h
+		s.mux.HandleFunc("GET /v1/"+kind.String(), s.instrument(h, s.handleQuery(kind)))
+	}
 	return s, nil
 }
 
@@ -259,8 +263,8 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument wraps a query handler with request counting and latency
-// observation.
-func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
+// observation, both server-wide and into its endpoint's histogram.
+func (s *Server) instrument(endpoint *metrics.Histogram, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		start := time.Now()
@@ -271,6 +275,7 @@ func (s *Server) instrument(h http.HandlerFunc) http.HandlerFunc {
 		s.byCode[rec.code]++
 		s.mu.Unlock()
 		s.latency.Observe(sec)
+		endpoint.Observe(sec)
 	}
 }
 
@@ -305,6 +310,11 @@ type metricsBody struct {
 	InFlight        int               `json:"in_flight"`
 	Faults          faultsBody        `json:"faults"`
 	Breakers        map[string]string `json:"breakers"`
+
+	// LatencyByEndpoint splits Latency by /v1 workload (pagerank, wcc,
+	// sssp, triangle, lpa); every endpoint is listed, unused ones with a
+	// zero count.
+	LatencyByEndpoint map[string]latencyBody `json:"latency_seconds_by_endpoint"`
 
 	// Governor reports the memory governor's ledger (peak tracked heap,
 	// spill volume, pressure events); omitted when no budget is set.
@@ -358,6 +368,15 @@ func finiteQuantile(h *metrics.Histogram, q float64) float64 {
 	return v
 }
 
+func latencyOf(h *metrics.Histogram) latencyBody {
+	return latencyBody{
+		Count: h.Count(),
+		P50:   finiteQuantile(h, 0.50),
+		P95:   finiteQuantile(h, 0.95),
+		P99:   finiteQuantile(h, 0.99),
+	}
+}
+
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	hits, misses, coalesced := s.cache.stats()
 	lookups := hits + misses + coalesced
@@ -376,11 +395,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		body.ResponsesByCode[strconv.Itoa(code)] = n
 	}
 	s.mu.Unlock()
-	body.Latency = latencyBody{
-		Count: s.latency.Count(),
-		P50:   finiteQuantile(s.latency, 0.50),
-		P95:   finiteQuantile(s.latency, 0.95),
-		P99:   finiteQuantile(s.latency, 0.99),
+	body.Latency = latencyOf(s.latency)
+	body.LatencyByEndpoint = make(map[string]latencyBody, len(s.byEndpoint))
+	for name, h := range s.byEndpoint {
+		body.LatencyByEndpoint[name] = latencyOf(h)
 	}
 	body.Cache = cacheBody{Hits: hits, Misses: misses, Coalesced: coalesced, HitRate: rate}
 	body.InFlight, body.QueueDepth = s.sched.snapshot()
@@ -810,26 +828,65 @@ func queryBody(kind engine.Kind, q query, meta runMeta, res *engine.Result) any 
 
 // topRanks returns the k highest-ranked vertices, ties broken toward
 // the smaller vertex id so the ordering (and the response bytes) are
-// fully deterministic.
+// fully deterministic. It makes one pass over the ranks, keeping the
+// best k in a heap whose root is the worst kept entry, then sorts the
+// heap in place: O(V log k) time and O(k) memory per call. k comes
+// from the client, so it is clamped to V before anything is allocated.
 func topRanks(ranks []float64, k int) []rankedVertex {
-	idx := make([]int, len(ranks))
-	for i := range idx {
-		idx[i] = i
+	k = max(0, min(k, len(ranks)))
+	h := make([]rankedVertex, k)
+	if k == 0 {
+		return h
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		if ranks[idx[a]] != ranks[idx[b]] {
-			return ranks[idx[a]] > ranks[idx[b]]
+	for i := range h {
+		h[i] = rankedVertex{Vertex: i, Rank: ranks[i]}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for i := k; i < len(ranks); i++ {
+		// Vertex ids rise through the scan, so a rank tied with the
+		// root's loses the tie-break: only a strictly higher rank
+		// displaces it.
+		if ranks[i] > h[0].Rank {
+			h[0] = rankedVertex{Vertex: i, Rank: ranks[i]}
+			siftDown(h, 0)
 		}
-		return idx[a] < idx[b]
-	})
-	if k > len(idx) {
-		k = len(idx)
 	}
-	out := make([]rankedVertex, k)
-	for i := 0; i < k; i++ {
-		out[i] = rankedVertex{Vertex: idx[i], Rank: ranks[idx[i]]}
+	// Heap sort: moving each root (the worst remaining entry) to the
+	// end leaves the slice best-first.
+	for n := k - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
 	}
-	return out
+	return h
+}
+
+// worse reports whether a ranks below b in topRanks' order.
+func worse(a, b rankedVertex) bool {
+	if a.Rank != b.Rank {
+		return a.Rank < b.Rank
+	}
+	return a.Vertex > b.Vertex
+}
+
+// siftDown restores the heap property (every parent worse than or
+// equal to its children) below position i.
+func siftDown(h []rankedVertex, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && worse(h[c+1], h[c]) {
+			c++
+		}
+		if !worse(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 func countLabel(labels []graph.VertexID, want graph.VertexID) int {

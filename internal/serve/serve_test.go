@@ -7,16 +7,21 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"graphbench/internal/core"
 	"graphbench/internal/datasets"
 	"graphbench/internal/engine"
+	"graphbench/internal/graph"
 	"graphbench/internal/sim"
 )
 
@@ -177,7 +182,7 @@ func TestResultCacheDetachedFill(t *testing.T) {
 	})
 }
 
-func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Scale == 0 {
 		cfg.Scale = serveScale
@@ -440,4 +445,201 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatal("condition not reached within 2s")
+}
+
+// fullSortTopRanks is the reference for topRanks: sort every vertex by
+// rank descending, ties toward the smaller id, and keep the first k.
+// It is what graphserve did per PageRank hit before bounded selection,
+// so matching it keeps response bodies byte-identical.
+func fullSortTopRanks(ranks []float64, k int) []rankedVertex {
+	idx := make([]int, len(ranks))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if ranks[idx[a]] != ranks[idx[b]] {
+			return ranks[idx[a]] > ranks[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	if k > len(idx) {
+		k = len(idx)
+	}
+	out := make([]rankedVertex, k)
+	for i := 0; i < k; i++ {
+		out[i] = rankedVertex{Vertex: idx[i], Rank: ranks[idx[i]]}
+	}
+	return out
+}
+
+// TestTopRanksMatchesFullSort: bounded top-k selection returns exactly
+// the full sort's prefix — heavy ties, tiny and empty inputs, every k
+// edge, and the real PageRank ranks of all four fixtures. k = 1<<30
+// also checks that a client-chosen k never sizes an allocation (it
+// would fail with out of memory).
+func TestTopRanksMatchesFullSort(t *testing.T) {
+	ks := func(v int) []int {
+		var out []int
+		for _, k := range []int{1, 2, 10, v - 1, v, v + 7, 1 << 30} {
+			if k >= 0 { // parseQuery rejects k < 1; the reference panics below 0
+				out = append(out, k)
+			}
+		}
+		return out
+	}
+	check := func(name string, ranks []float64) {
+		t.Helper()
+		for _, k := range ks(len(ranks)) {
+			got, want := topRanks(ranks, k), fullSortTopRanks(ranks, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, V=%d, k=%d:\n got %v\nwant %v", name, len(ranks), k, got, want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, v := range []int{0, 1, 2, 3, 60} {
+		for trial := 0; trial < 20; trial++ {
+			ranks := make([]float64, v)
+			for i := range ranks {
+				ranks[i] = float64(rng.IntN(5)) // values in {0..4}: heavy ties
+			}
+			check(fmt.Sprintf("random trial %d", trial), ranks)
+		}
+	}
+
+	r := core.NewRunner(datasets.DefaultScale, 1)
+	defer r.Close()
+	// Blogel-V at 128 machines is a configuration that completes PageRank
+	// on every fixture, ClueWeb included.
+	sys, err := core.SystemByKey("blogel-v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range datasets.AllNames() {
+		res, err := r.TryRun(sys, name, engine.PageRank, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.Dataset(name).NumVertices; len(res.Ranks) != n {
+			t.Fatalf("%s: %d ranks for %d vertices", name, len(res.Ranks), n)
+		}
+		check(string(name), res.Ranks)
+	}
+}
+
+// TestPageRankHitAllocsIndependentOfV: a cached PageRank hit allocates
+// O(k), not O(V). wrn has ~16x twitter's vertices at the default scale;
+// a hit on it may allocate only a small constant more per request (the
+// body's names and digits), not an index over every vertex.
+func TestPageRankHitAllocsIndependentOfV(t *testing.T) {
+	s, _ := newTestServer(t, Config{Scale: datasets.DefaultScale,
+		Datasets: []datasets.Name{datasets.Twitter, datasets.WRN}})
+	hit := func(path string) {
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body)
+		}
+	}
+	const hits = 200
+	bytesPerHit := func(name datasets.Name) float64 {
+		path := "/v1/pagerank?dataset=" + string(name)
+		hit(path) // miss: fills the cache
+		hit(path) // first hit: lazy per-key state, if any
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < hits; i++ {
+			hit(path)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / hits
+	}
+	twitter, wrn := bytesPerHit(datasets.Twitter), bytesPerHit(datasets.WRN)
+	vt, vw := s.runner.Dataset(datasets.Twitter).NumVertices, s.runner.Dataset(datasets.WRN).NumVertices
+	t.Logf("bytes per PageRank hit: twitter (V=%d) %.0f, wrn (V=%d) %.0f", vt, twitter, vw, wrn)
+	if wrn-twitter > 1024 {
+		t.Fatalf("a wrn hit allocates %.0f B more than a twitter hit (%.0f vs %.0f): "+
+			"per-hit work grows with V", wrn-twitter, wrn, twitter)
+	}
+}
+
+// TestMetricsLatencyByEndpoint: each /v1 request is observed in its own
+// endpoint's histogram and no other, and the split adds up to the
+// server-wide latency count.
+func TestMetricsLatencyByEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxInFlight: 1, MaxQueue: 1})
+	if code, _, body := get(t, ts.URL+"/v1/pagerank?k=3"); code != http.StatusOK {
+		t.Fatalf("pagerank: %d %s", code, body)
+	}
+	_, _, body := get(t, ts.URL+"/metrics")
+	var m metricsBody
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatalf("metrics body: %v\n%s", err, body)
+	}
+	want := map[string]uint64{"pagerank": 1, "wcc": 0, "sssp": 0, "triangle": 0, "lpa": 0}
+	if len(m.LatencyByEndpoint) != len(want) {
+		t.Fatalf("latency_seconds_by_endpoint = %+v, want the %d endpoints", m.LatencyByEndpoint, len(want))
+	}
+	for name, n := range want {
+		got, ok := m.LatencyByEndpoint[name]
+		if !ok || got.Count != n {
+			t.Errorf("%s: %+v (present %v), want count %d", name, got, ok, n)
+		}
+	}
+	if pr := m.LatencyByEndpoint["pagerank"]; pr.P50 <= 0 || pr.P99 < pr.P50 || m.Latency.Count != pr.Count {
+		t.Errorf("pagerank latency %+v against server-wide %+v", pr, m.Latency)
+	}
+}
+
+// FuzzParseQuery: for any raw query string, on every endpoint,
+// parseQuery either returns a valid query without writing a response,
+// or writes 400/404 with a non-empty JSON error. It must never panic
+// and never accept k < 1, machines outside [1, 4096] or a vertex
+// outside the dataset.
+func FuzzParseQuery(f *testing.F) {
+	for _, seed := range []string{
+		"dataset=nope", "system=nope", "system=gl-a-r-t", "machines=0", "machines=zig",
+		"k=-1", "vertex=-1", "vertex=99999999", "vertex=glue",
+		"k=2147483647", "k=99999999999999999999",
+		"", "k=5", "vertex=3", "machines=4096&system=giraph", "machines=4097",
+	} {
+		f.Add(seed)
+	}
+	s, _ := newTestServer(f, Config{MaxInFlight: 1, MaxQueue: 1})
+	kinds := []engine.Kind{engine.PageRank, engine.WCC, engine.SSSP, engine.Triangle, engine.LPA}
+	f.Fuzz(func(t *testing.T, raw string) {
+		for _, kind := range kinds {
+			r := httptest.NewRequest(http.MethodGet, "/v1/"+kind.String(), nil)
+			r.URL.RawQuery = raw
+			w := httptest.NewRecorder()
+			q, ok := s.parseQuery(w, r, kind)
+			if !ok {
+				var e errorBody
+				if w.Code != http.StatusBadRequest && w.Code != http.StatusNotFound {
+					t.Fatalf("%s?%s: status %d, want 400 or 404 (%s)", kind, raw, w.Code, w.Body)
+				}
+				if err := json.Unmarshal(w.Body.Bytes(), &e); err != nil || e.Error == "" {
+					t.Fatalf("%s?%s: error body %q", kind, raw, w.Body)
+				}
+				continue
+			}
+			if w.Body.Len() != 0 {
+				t.Fatalf("%s?%s: accepted query wrote a response: %s", kind, raw, w.Body)
+			}
+			if q.key.kind != kind || q.d == nil || q.key.machines < 1 || q.key.machines > 4096 {
+				t.Fatalf("%s?%s: accepted invalid query %+v", kind, raw, q.key)
+			}
+			n := graph.VertexID(q.d.NumVertices)
+			switch {
+			case kind == engine.PageRank:
+				if q.topK < 1 {
+					t.Fatalf("%s?%s: accepted k=%d", kind, raw, q.topK)
+				}
+			case kind == engine.Triangle && q.vertex == -1: // global count
+			case q.vertex < 0 || q.vertex >= n:
+				t.Fatalf("%s?%s: accepted vertex %d outside [0, %d)", kind, raw, q.vertex, n)
+			}
+		}
+	})
 }
