@@ -7,6 +7,7 @@
 //	graphbench -artifact table9                # one artifact
 //	graphbench -artifact all                   # everything
 //	graphbench -run giraph -dataset twitter -workload pagerank -machines 32
+//	graphbench -run auto -dataset wrn -workload sssp -machines 64   # planner picks
 //	graphbench -grid -log runs.jsonl           # full grid to a log file
 //	graphbench -grid -parallel 1               # sequential (debug/baseline)
 //	graphbench -grid -snapshot-dir .cache      # reuse binary CSR fixtures
@@ -49,11 +50,9 @@ func main() {
 		artifact = flag.String("artifact", "", "table1..table10, fig1..fig13, or 'all'")
 		scale    = flag.Float64("scale", datasets.DefaultScale, "dataset reduction factor")
 		seed     = flag.Int64("seed", 1, "generation seed")
-		runSys   = flag.String("run", "", "system key to run (see -list)")
-		planMode = flag.String("plan", "",
-			"'auto' lets the adaptive planner pick the system and run\n"+
-				"configuration for -run cells (ignore -run's system key) and\n"+
-				"prints the decision trace")
+		runSys   = flag.String("run", "",
+			"system key to run (see -list), or 'auto' to let the adaptive planner\n"+
+				"pick the system and run configuration and print the decision trace")
 		dataset  = flag.String("dataset", "twitter", "dataset: twitter, wrn, uk200705, clueweb")
 		workload = flag.String("workload", "pagerank", "workload: pagerank, wcc, sssp, khop, triangle, lpa")
 		machines = flag.Int("machines", 16, "cluster size")
@@ -96,12 +95,6 @@ func main() {
 	switch {
 	case *artifact != "":
 		printArtifacts(r, *artifact, *scale, *seed)
-	case *planMode != "":
-		if *planMode != "auto" {
-			fmt.Fprintf(os.Stderr, "graphbench: -plan must be 'auto', got %q\n", *planMode)
-			os.Exit(2)
-		}
-		runAuto(r, *dataset, *workload, *machines, *logPath)
 	case *runSys != "":
 		runOne(r, *runSys, *dataset, *workload, *machines, *logPath)
 	case *grid:
@@ -165,25 +158,37 @@ func parseKind(s string) (engine.Kind, error) {
 	return 0, fmt.Errorf("unknown workload %q", s)
 }
 
+// runOne executes one -run cell and prints its outcome. With -run auto
+// the adaptive planner picks the system and configuration, and its
+// decision trace (with the realized cost beside the prediction) is
+// printed first.
 func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logPath string) {
-	var sys core.System
-	if sysKey == "vertica" {
-		sys = core.Vertica()
-	} else {
-		var err error
-		sys, err = core.SystemByKey(sysKey)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "graphbench:", err)
-			os.Exit(2)
-		}
-	}
 	kind, err := parseKind(workload)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphbench:", err)
 		os.Exit(2)
 	}
-	res := r.Run(sys, datasets.Name(dataset), kind, machines)
-	fmt.Printf("%s %s on %s, %d machines: %s\n", sys.Label, workload, dataset, machines, res.Status)
+	req := core.Request{Dataset: datasets.Name(dataset), Kind: kind, Machines: machines}
+	switch sysKey {
+	case "auto":
+		req.Plan, err = r.TryDecide(req.Dataset, kind, machines)
+	case "vertica":
+		req.System = core.Vertica()
+	default:
+		req.System, err = core.SystemByKey(sysKey)
+	}
+	var res *engine.Result
+	if err == nil {
+		res, err = r.Exec(req)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "graphbench:", err)
+		os.Exit(2)
+	}
+	if req.Plan != nil {
+		fmt.Print(req.Plan.Trace())
+	}
+	fmt.Printf("%s %s on %s, %d machines: %s\n", res.System, workload, dataset, machines, res.Status)
 	if res.Status == sim.OK {
 		fmt.Printf("  load %s  execute %s  save %s  overhead %s  total %s\n",
 			metrics.FmtSeconds(res.Load), metrics.FmtSeconds(res.Exec),
@@ -192,33 +197,6 @@ func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logP
 		fmt.Printf("  iterations %d  network %s  memory total %s (max/machine %s)\n",
 			res.Iterations, metrics.FmtBytes(res.NetBytes),
 			metrics.FmtBytes(res.MemTotal), metrics.FmtBytes(res.MemMax))
-	} else if res.Err != nil {
-		fmt.Printf("  %v\n", res.Err)
-	}
-	writeLog(logPath, []*engine.Result{res})
-}
-
-// runAuto is the -plan auto entry point: ask the adaptive planner for
-// the cell's configuration, print the full decision trace, execute the
-// decision, and print the realized outcome next to the prediction.
-func runAuto(r *core.Runner, dataset, workload string, machines int, logPath string) {
-	kind, err := parseKind(workload)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphbench:", err)
-		os.Exit(2)
-	}
-	res, dec, err := r.TryRunAuto(nil, core.FaultOpts{}, datasets.Name(dataset), kind, machines)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "graphbench:", err)
-		os.Exit(2)
-	}
-	fmt.Print(dec.Trace())
-	fmt.Printf("%s %s on %s, %d machines: %s\n", res.System, workload, dataset, machines, res.Status)
-	if res.Status == sim.OK {
-		fmt.Printf("  load %s  execute %s  save %s  overhead %s  total %s\n",
-			metrics.FmtSeconds(res.Load), metrics.FmtSeconds(res.Exec),
-			metrics.FmtSeconds(res.Save), metrics.FmtSeconds(res.Overhead),
-			metrics.FmtSeconds(res.TotalTime()))
 	} else if res.Err != nil {
 		fmt.Printf("  %v\n", res.Err)
 	}

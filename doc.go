@@ -312,8 +312,9 @@
 // after the run the realized cost, which core.Runner feeds back via
 // Planner.Observe so not-yet-decided cells prefer realized telemetry
 // over the model. Decisions are sticky per request cell and
-// bit-deterministic per snapshot. Entry points: core.Runner.TryRunAuto;
-// graphbench -plan auto (prints the trace); the planner artifact
+// bit-deterministic per snapshot. Entry points: core.Runner.TryDecide,
+// then core.Runner.Exec with the decision in Request.Plan; graphbench
+// -run auto (prints the trace); the planner artifact
 // (-artifact planner), a twitter+wrn grid on which the planner's total
 // composite cost beats every fixed (engine, machines) configuration;
 // and serve mode, where unpinned queries are planned per request cell.

@@ -31,7 +31,11 @@ func main() {
 		{datasets.WRN, engine.SSSP},         // huge diameter: uniform shards, no pull
 	}
 	for _, c := range cells {
-		res, dec, err := r.TryRunAuto(nil, core.FaultOpts{}, c.dataset, c.kind, 16)
+		dec, err := r.TryDecide(c.dataset, c.kind, 16)
+		var res *engine.Result
+		if err == nil {
+			res, err = r.Exec(core.Request{Plan: dec, Dataset: c.dataset, Kind: c.kind})
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "planner example:", err)
 			os.Exit(1)

@@ -376,7 +376,7 @@ func matrixShards(override, workers, procs int) int {
 }
 
 // MatrixOptions applies the matrix shard default to opt, for harness
-// code that runs engines directly (bypassing Run) on the pool.
+// code that runs engines directly (not through Exec) on the pool.
 func (r *Runner) MatrixOptions(opt engine.Options) engine.Options {
 	if opt.Shards == 0 {
 		opt.Shards = r.MatrixShards()
@@ -384,31 +384,24 @@ func (r *Runner) MatrixOptions(opt engine.Options) engine.Options {
 	return opt
 }
 
-// Run executes one experiment on a fresh cluster. A standalone run has
-// the engine to itself, so its loops default to GOMAXPROCS shards.
-func (r *Runner) Run(s System, name datasets.Name, kind engine.Kind, machines int) *engine.Result {
-	res, err := r.tryRun(s, name, kind, machines, r.Shards, nil, FaultOpts{})
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
+// Request is one run: a cell of the experiment matrix plus how to
+// execute it. It names either a pinned System run at Machines, or a
+// planner decision in Plan, which supplies the system, the cluster size
+// and the run-shape settings (System and Machines are then ignored) and
+// receives the run's realized telemetry afterwards.
+type Request struct {
+	System   System
+	Plan     *plan.Decision
+	Dataset  datasets.Name
+	Kind     engine.Kind
+	Machines int
 
-// TryRun is Run with fixture failures returned as errors instead of
-// panics — the run path long-lived servers use. Note the distinction:
-// a *failed run* (OOM, timeout, …) is still a Result with a non-OK
-// Status, because failures are findings in this study; only problems
-// that prevent the run from starting at all (unknown dataset, broken
-// fixture) are errors.
-func (r *Runner) TryRun(s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
-	return r.tryRun(s, name, kind, machines, r.Shards, nil, FaultOpts{})
-}
+	// Pool, when non-nil, is the persistent pool the engine's shard
+	// loops borrow (serve mode keeps one warm per admission slot, so
+	// steady-state requests spawn no goroutines).
+	Pool *par.Pool
 
-// TryRunOn is TryRun with the engine's shard loops borrowing the given
-// persistent pool (serve mode keeps one warm per admission slot, so
-// steady-state requests spawn no goroutines).
-func (r *Runner) TryRunOn(pool *par.Pool, s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
-	return r.tryRun(s, name, kind, machines, r.Shards, pool, FaultOpts{})
+	Faults FaultOpts
 }
 
 // FaultOpts configures fault injection and recovery for one run.
@@ -422,64 +415,28 @@ type FaultOpts struct {
 	// CheckpointEvery overrides the recovery checkpoint cadence
 	// (engine.Options.CheckpointEvery); 0 keeps the engine default.
 	CheckpointEvery int
-
-	// Plan, when non-nil, applies the planner decision's configuration
-	// to the run (shards, shard plan, direction, memory tier) and feeds
-	// the realized telemetry back into the planner afterwards. The
-	// system is still chosen by the caller — TryRunPlanned resolves the
-	// decision's system key and sets this field.
-	Plan *plan.Decision
 }
 
-// TryRunPlanned executes a planner decision: the decision's system,
-// cluster size, and configuration knobs, with realized telemetry
-// observed back into the planner.
-func (r *Runner) TryRunPlanned(pool *par.Pool, f FaultOpts, d *plan.Decision, name datasets.Name, kind engine.Kind) (*engine.Result, error) {
-	s, err := SystemByKey(d.System)
+// Exec executes one run on a fresh cluster. A *failed run* (OOM,
+// timeout, …) is still a Result with a non-OK Status, because failures
+// are findings in this study; only problems that prevent the run from
+// starting at all (unknown system or dataset, broken fixture) are
+// errors. Systems that do not pin a shard count run with the runner's
+// Shards.
+func (r *Runner) Exec(q Request) (*engine.Result, error) {
+	s, machines := q.System, q.Machines
+	if q.Plan != nil {
+		var err error
+		if s, err = SystemByKey(q.Plan.System); err != nil {
+			return nil, err
+		}
+		machines = q.Plan.Machines
+	}
+	d, err := r.TryDataset(q.Dataset)
 	if err != nil {
 		return nil, err
 	}
-	f.Plan = d
-	return r.tryRun(s, name, kind, d.Machines, r.Shards, pool, f)
-}
-
-// TryRunAuto is the planner-driven run path: decide, then execute the
-// decision. The decision (with realized cost) is returned alongside
-// the result so callers can expose the trace.
-func (r *Runner) TryRunAuto(pool *par.Pool, f FaultOpts, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, *plan.Decision, error) {
-	d, err := r.TryDecide(name, kind, machines)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := r.TryRunPlanned(pool, f, d, name, kind)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, d, nil
-}
-
-// TryRunFault is TryRunOn with a fault-injection plan: the run's
-// cluster gets the injector, and the engine runs with recovery
-// configured per f. The serve path and the fault-matrix tests use this
-// to compare faulted runs against clean ones.
-func (r *Runner) TryRunFault(pool *par.Pool, f FaultOpts, s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
-	return r.tryRun(s, name, kind, machines, r.Shards, pool, f)
-}
-
-func (r *Runner) run(s System, name datasets.Name, kind engine.Kind, machines, shards int) *engine.Result {
-	res, err := r.tryRun(s, name, kind, machines, shards, nil, FaultOpts{})
-	if err != nil {
-		panic(err.Error())
-	}
-	return res
-}
-
-func (r *Runner) tryRun(s System, name datasets.Name, kind engine.Kind, machines, shards int, pool *par.Pool, f FaultOpts) (*engine.Result, error) {
-	d, err := r.TryDataset(name)
-	if err != nil {
-		return nil, err
-	}
-	w, err := r.TryWorkload(kind, name)
+	w, err := r.TryWorkload(q.Kind, q.Dataset)
 	if err != nil {
 		return nil, err
 	}
@@ -487,22 +444,23 @@ func (r *Runner) tryRun(s System, name datasets.Name, kind engine.Kind, machines
 		w = s.Tweak(w)
 	}
 	opt := s.Opt
-	if f.Plan != nil {
+	if q.Plan != nil {
 		// A planner decision overrides the run-shape knobs. None of
 		// them changes modeled results (the bit-identity contracts of
 		// shards/plan/direction/tier), so planned and fixed runs stay
 		// comparable.
-		if f.Plan.Shards > 0 {
-			opt.Shards = f.Plan.Shards
+		if q.Plan.Shards > 0 {
+			opt.Shards = q.Plan.Shards
 		}
-		opt.ShardPlan = f.Plan.ShardPlan
-		opt.Direction = f.Plan.Direction
-		opt.MemoryTier = f.Plan.MemoryTier
+		opt.ShardPlan = q.Plan.ShardPlan
+		opt.Direction = q.Plan.Direction
+		opt.MemoryTier = q.Plan.MemoryTier
 	}
 	if opt.Shards == 0 {
-		opt.Shards = shards
+		opt.Shards = r.Shards
 	}
-	opt.Pool = pool
+	opt.Pool = q.Pool
+	f := q.Faults
 	if f.Recover {
 		opt.Recover = true
 	}
@@ -521,10 +479,31 @@ func (r *Runner) tryRun(s System, name datasets.Name, kind engine.Kind, machines
 	}
 	res := s.New().Run(c, d, w, opt)
 	res.System = s.Label
-	if f.Plan != nil {
-		r.Planner().Observe(f.Plan, metrics.ResourceOf(res))
+	if q.Plan != nil {
+		r.Planner().Observe(q.Plan, metrics.ResourceOf(res))
 	}
 	return res, nil
+}
+
+// TryRun executes a pinned system on a cell (Exec without a pool or
+// faults).
+func (r *Runner) TryRun(s System, name datasets.Name, kind engine.Kind, machines int) (*engine.Result, error) {
+	return r.Exec(Request{System: s, Dataset: name, Kind: kind, Machines: machines})
+}
+
+// TryRunPlanned executes a planner decision (see Request.Plan).
+func (r *Runner) TryRunPlanned(pool *par.Pool, f FaultOpts, d *plan.Decision, name datasets.Name, kind engine.Kind) (*engine.Result, error) {
+	return r.Exec(Request{Plan: d, Dataset: name, Kind: kind, Pool: pool, Faults: f})
+}
+
+// Run is the panic-wrapping shim over TryRun for CLI callers and the
+// harness, where a run that cannot start is unrecoverable.
+func (r *Runner) Run(s System, name datasets.Name, kind engine.Kind, machines int) *engine.Result {
+	res, err := r.TryRun(s, name, kind, machines)
+	if err != nil {
+		panic(err.Error())
+	}
+	return res
 }
 
 // Cell identifies one grid entry.
@@ -581,7 +560,10 @@ func (r *Runner) RunGrid(cells []Cell) []*engine.Result {
 	shards := r.MatrixShards()
 	return par.Map(r.Pool(), len(cells), func(i int) *engine.Result {
 		c := cells[i]
-		return r.run(c.System, c.Dataset, c.Kind, c.Machines, shards)
+		if c.System.Opt.Shards == 0 {
+			c.System.Opt.Shards = shards
+		}
+		return r.Run(c.System, c.Dataset, c.Kind, c.Machines)
 	})
 }
 

@@ -129,19 +129,20 @@ func TestTryDatasetErrors(t *testing.T) {
 	}()
 }
 
-// TestTryRunOnBorrowedPool: a run on an externally owned pool must not
+// TestExecBorrowedPool: a run on an externally owned pool must not
 // close it, and must produce the same result as a standalone run (shard
 // count only changes wall time).
-func TestTryRunOnBorrowedPool(t *testing.T) {
+func TestExecBorrowedPool(t *testing.T) {
 	r := NewRunner(2_000_000, 1)
 	s, _ := SystemByKey("giraph")
 	pool := par.New(2)
 	defer pool.Close()
-	a, err := r.TryRunOn(pool, s, datasets.Twitter, engine.PageRank, 16)
+	req := Request{System: s, Dataset: datasets.Twitter, Kind: engine.PageRank, Machines: 16, Pool: pool}
+	a, err := r.Exec(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.TryRunOn(pool, s, datasets.Twitter, engine.PageRank, 16)
+	b, err := r.Exec(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,6 +152,54 @@ func TestTryRunOnBorrowedPool(t *testing.T) {
 	cold := r.Run(s, datasets.Twitter, engine.PageRank, 16)
 	if !reflect.DeepEqual(a.Ranks, cold.Ranks) || !reflect.DeepEqual(b.Ranks, cold.Ranks) {
 		t.Fatal("borrowed-pool run diverged from standalone run")
+	}
+}
+
+// TestExecPlannedMatchesPinned: executing a planner decision equals
+// pinning the decided system at the decided cluster size — outputs,
+// per-iteration stats and modeled costs — because the decision's
+// run-shape knobs only change wall time. Only the planned run feeds the
+// planner, and a decision naming an unknown system is an error.
+func TestExecPlannedMatchesPinned(t *testing.T) {
+	r := NewRunner(2_000_000, 1)
+	defer r.Close()
+	d, err := r.TryDecide(datasets.Twitter, engine.SSSP, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := SystemByKey(d.System)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := r.Planner().Observed()
+	pinned, err := r.Exec(Request{System: s, Dataset: datasets.Twitter, Kind: engine.SSSP, Machines: d.Machines})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Planner().Observed(); got != base {
+		t.Fatalf("pinned run observed by the planner: %d -> %d", base, got)
+	}
+	planned, err := r.Exec(Request{Plan: d, Dataset: datasets.Twitter, Kind: engine.SSSP})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Planner().Observed(); got != base+1 {
+		t.Fatalf("planned run: Observed %d -> %d, want +1", base, got)
+	}
+	if planned.Status != sim.OK {
+		t.Fatalf("planned run failed: %v", planned.Status)
+	}
+	if !reflect.DeepEqual(planned, pinned) {
+		t.Fatalf("planned run diverged from pinned run:\nplanned %+v\npinned  %+v", planned, pinned)
+	}
+
+	bad := *d
+	bad.System = "no-such-system"
+	if _, err := r.Exec(Request{Plan: &bad, Dataset: datasets.Twitter, Kind: engine.SSSP}); err == nil {
+		t.Fatal("Exec accepted a decision naming an unknown system")
+	}
+	if got := r.Planner().Observed(); got != base+1 {
+		t.Fatalf("failed planned run observed: Observed = %d, want %d", got, base+1)
 	}
 }
 

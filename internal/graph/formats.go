@@ -239,21 +239,3 @@ func parseID(s []byte, n int) (VertexID, error) {
 	}
 	return VertexID(id), nil
 }
-
-// EncodedSize returns the exact number of bytes Encode would produce.
-// HDFS chunking and load-time accounting use it without materializing
-// the encoding twice.
-func EncodedSize(g *Graph, f Format) int64 {
-	var cw countingWriter
-	if err := Encode(g, f, &cw); err != nil {
-		return 0
-	}
-	return cw.n
-}
-
-type countingWriter struct{ n int64 }
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
-}

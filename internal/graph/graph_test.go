@@ -219,19 +219,6 @@ func TestDecodeSkipsCommentsAndBlank(t *testing.T) {
 	}
 }
 
-func TestEncodedSizeMatchesEncode(t *testing.T) {
-	g := chain(50)
-	for _, f := range []Format{FormatAdj, FormatAdjLong, FormatEdge} {
-		var buf bytes.Buffer
-		if err := Encode(g, f, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if got := EncodedSize(g, f); got != int64(buf.Len()) {
-			t.Errorf("%v: EncodedSize = %d, Encode produced %d bytes", f, got, buf.Len())
-		}
-	}
-}
-
 func TestBFSDistances(t *testing.T) {
 	g := chain(5)
 	d := BFSDistances(g, 0)

@@ -95,8 +95,8 @@ func New(workers int) *Pool {
 }
 
 // Workers returns the pool's shard granularity (the worker count it was
-// constructed with), the number MapShards and ForEachShard split work
-// into.
+// constructed with), the shard count callers pass to PlanShards to give
+// every worker one shard.
 func (p *Pool) Workers() int { return p.k }
 
 // Parallelism returns how many goroutines actually execute a dispatch:
@@ -407,13 +407,6 @@ func (pl Plan) FillShardOf(out []int32) []int32 {
 	return out
 }
 
-// ForEachShard splits [0, n) into one shard per pool worker and runs
-// fn on each shard concurrently.
-func (p *Pool) ForEachShard(n int, fn func(s Shard)) {
-	pl := PlanShards(n, p.k)
-	p.ForEach(pl.Count(), func(i int) { fn(pl.Shard(i)) })
-}
-
 // Map runs fn(i) for every i in [0, n) on the pool and returns the
 // results in index order.
 func Map[T any](p *Pool, n int, fn func(i int) T) []T {
@@ -422,19 +415,12 @@ func Map[T any](p *Pool, n int, fn func(i int) T) []T {
 	return out
 }
 
-// MapShards splits [0, n) into one shard per pool worker, runs fn on
-// each shard concurrently, and returns the per-shard results in shard
-// order — the deterministic-merge building block: callers fold the
-// returned slice left to right, which reproduces the sequential
-// accumulation order regardless of worker count.
-func MapShards[T any](p *Pool, n int, fn func(s Shard) T) []T {
-	pl := PlanShards(n, p.k)
-	return MapPlan(p, pl, fn)
-}
-
-// MapPlan is MapShards over an explicit Plan, for callers that need the
-// same plan for sharding and for routing (e.g. bsp's per-destination
-// message buckets) or a weight-balanced plan.
+// MapPlan runs fn on each shard of pl concurrently and returns the
+// per-shard results in shard order — the deterministic-merge building
+// block: callers fold the returned slice left to right, which
+// reproduces the sequential accumulation order regardless of worker
+// count. The same plan can serve sharding and routing (e.g. bsp's
+// per-destination message buckets), and it may be weight-balanced.
 func MapPlan[T any](p *Pool, pl Plan, fn func(s Shard) T) []T {
 	out := make([]T, pl.Count())
 	p.ForEach(pl.Count(), func(i int) { out[i] = fn(pl.Shard(i)) })

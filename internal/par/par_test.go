@@ -106,7 +106,7 @@ func TestMergeOrderDeterminism(t *testing.T) {
 		want[i] = i * 31
 	}
 	for _, w := range workerCounts {
-		chunks := MapShards(New(w), n, func(s Shard) []int {
+		chunks := MapPlan(New(w), PlanShards(n, w), func(s Shard) []int {
 			out := make([]int, 0, s.Len())
 			for v := s.Lo; v < s.Hi; v++ {
 				out = append(out, want[v])

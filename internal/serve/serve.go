@@ -700,14 +700,15 @@ func (s *Server) runWithRetry(pool *par.Pool, q query, kind engine.Kind) (*engin
 			s.retriesTotal.Add(1)
 			sleepBackoff(s.cfg.RetryBackoff, attempt)
 		}
-		f := core.FaultOpts{Recover: s.cfg.Recover, Plan: q.plan}
+		req := core.Request{System: q.sys, Plan: q.plan, Dataset: q.key.dataset, Kind: kind,
+			Machines: q.key.machines, Pool: pool, Faults: core.FaultOpts{Recover: s.cfg.Recover}}
 		var inj *chaos.Injector
 		if p := s.cfg.Chaos.PlanFor(q.key.String(), attempt, q.key.machines); p != nil {
 			inj = p.Injector()
-			f.Injector = inj
+			req.Faults.Injector = inj
 		}
 		var err error
-		res, err = s.runner.TryRunFault(pool, f, q.sys, q.key.dataset, kind, q.key.machines)
+		res, err = s.runner.Exec(req)
 		if err != nil {
 			return nil, err // fixture/infrastructure errors: not retryable here
 		}
