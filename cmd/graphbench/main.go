@@ -204,21 +204,7 @@ func runOne(r *core.Runner, sysKey, dataset, workload string, machines int, logP
 }
 
 func runGrid(r *core.Runner, logPath string) {
-	var cells []core.Cell
-	for _, name := range []datasets.Name{datasets.Twitter, datasets.UK, datasets.WRN} {
-		for _, kind := range engine.ExtendedKinds() {
-			systems := core.MainGridSystems()
-			if kind == engine.PageRank {
-				systems = core.Systems()
-			}
-			for _, m := range core.ClusterSizes {
-				for _, s := range systems {
-					cells = append(cells, core.Cell{System: s, Dataset: name, Kind: kind, Machines: m})
-				}
-			}
-		}
-	}
-	results := r.RunGrid(cells)
+	results := r.RunGrid(core.MainGrid(datasets.Twitter, datasets.UK, datasets.WRN))
 	okCount := 0
 	for _, res := range results {
 		if res.Status == sim.OK {

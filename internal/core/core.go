@@ -480,7 +480,7 @@ func (r *Runner) Exec(q Request) (*engine.Result, error) {
 	res := s.New().Run(c, d, w, opt)
 	res.System = s.Label
 	if q.Plan != nil {
-		r.Planner().Observe(q.Plan, metrics.ResourceOf(res))
+		r.Planner().Observe(q.Plan, metrics.FromResult(res).Resource())
 	}
 	return res, nil
 }
@@ -512,6 +512,28 @@ type Cell struct {
 	Dataset  datasets.Name
 	Kind     engine.Kind
 	Machines int
+}
+
+// MainGrid returns the main experiment grid over the named datasets in
+// the order `graphbench -grid` runs and logs it: per dataset and
+// workload, every cluster size × the main-grid systems, with every
+// registered system (the PageRank-only variants too) on PageRank.
+func MainGrid(names ...datasets.Name) []Cell {
+	var cells []Cell
+	for _, name := range names {
+		for _, kind := range engine.ExtendedKinds() {
+			systems := MainGridSystems()
+			if kind == engine.PageRank {
+				systems = Systems()
+			}
+			for _, m := range ClusterSizes {
+				for _, s := range systems {
+					cells = append(cells, Cell{System: s, Dataset: name, Kind: kind, Machines: m})
+				}
+			}
+		}
+	}
+	return cells
 }
 
 // Pool returns the runner's experiment-matrix worker pool, sized by

@@ -29,29 +29,16 @@ func PlannerGrid(r *core.Runner) string {
 	kinds := engine.ExtendedKinds()
 	fixed := core.MainGridSystems()
 
-	// Assemble the run grid: the nine full-coverage systems on every
-	// cell, plus the PageRank-only variants on the PageRank cells (the
-	// planner may pick them there, as the paper's Figure 6 does).
-	var cells []core.Cell
-	for _, name := range plannerDatasets {
-		for _, k := range kinds {
-			systems := fixed
-			if k == engine.PageRank {
-				systems = core.Systems()
-			}
-			for _, m := range core.ClusterSizes {
-				for _, s := range systems {
-					cells = append(cells, core.Cell{System: s, Dataset: name, Kind: k, Machines: m})
-				}
-			}
-		}
-	}
+	// The run grid: the nine full-coverage systems on every cell, plus
+	// the PageRank-only variants on the PageRank cells (the planner may
+	// pick them there, as the paper's Figure 6 does).
+	cells := core.MainGrid(plannerDatasets...)
 	results := r.RunGrid(cells)
 	byCell := make(map[string]metrics.Resource, len(results))
 	for i, res := range results {
 		c := cells[i]
 		key := fmt.Sprintf("%s|%s|%s|%d", c.System.Key, c.Dataset, c.Kind, c.Machines)
-		byCell[key] = metrics.ResourceOf(res)
+		byCell[key] = metrics.FromResult(res).Resource()
 	}
 
 	// Decide every cell first (decisions are pure functions of the

@@ -56,8 +56,8 @@ type Record struct {
 // Resource is the per-run resource telemetry the adaptive planner's
 // cost model consumes: the axes of the resource-efficiency study
 // (wall time, CPU time, memory footprint, message volume) plus the
-// cluster size that produced them. Extracted from results by
-// ResourceOf and fed back via plan.Planner.Observe.
+// cluster size that produced them. Extracted from run records by
+// Record.Resource and fed back via plan.Planner.Observe.
 type Resource struct {
 	TimeSec       float64 `json:"time_sec"`
 	CPUSec        float64 `json:"cpu_sec"`
@@ -71,16 +71,18 @@ type Resource struct {
 // OK reports whether the run the telemetry came from succeeded.
 func (r Resource) OK() bool { return r.Status == "OK" }
 
-// ResourceOf extracts the planner-facing telemetry from a result.
-func ResourceOf(r *engine.Result) Resource {
+// Resource extracts the planner-facing telemetry from a run record, so
+// a logged run and the live result it came from (FromResult(res)) feed
+// the planner the same values.
+func (r Record) Resource() Resource {
 	return Resource{
-		TimeSec:       r.TotalTime(),
+		TimeSec:       r.Total,
 		CPUSec:        r.CPUUser + r.CPUIO + r.CPUNet,
 		MemTotalBytes: r.MemTotal,
 		MemMaxBytes:   r.MemMax,
 		NetBytes:      r.NetBytes,
 		Machines:      r.Machines,
-		Status:        r.Status.String(),
+		Status:        r.Status,
 	}
 }
 

@@ -33,6 +33,11 @@ func TestFromResult(t *testing.T) {
 	if r.RepFact != 9.3 {
 		t.Fatalf("RepFact = %v", r.RepFact)
 	}
+	want := Resource{TimeSec: 68, CPUSec: 125, MemTotalBytes: 90 << 30, MemMaxBytes: 6 << 30,
+		NetBytes: 1 << 30, Machines: 16, Status: "OK"}
+	if got := r.Resource(); got != want {
+		t.Fatalf("Resource() = %+v, want %+v", got, want)
+	}
 }
 
 func TestLogRoundTrip(t *testing.T) {

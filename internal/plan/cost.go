@@ -48,12 +48,5 @@ func Score(p Prediction, machines int) float64 {
 // ResourceScore scores realized run telemetry on the same scale as
 // Score, so predicted and realized costs are directly comparable.
 func ResourceScore(r metrics.Resource) float64 {
-	return Score(Prediction{
-		Status:   r.Status,
-		TimeSec:  r.TimeSec,
-		CPUSec:   r.CPUSec,
-		MemTotal: r.MemTotalBytes,
-		MemMax:   r.MemMaxBytes,
-		NetBytes: r.NetBytes,
-	}, r.Machines)
+	return Score(fromResource(r, 0, "observed"), r.Machines)
 }

@@ -6,10 +6,10 @@
 //
 // The paper's central output (Tables 6–10) is a static answer to
 // "which system wins where". This package operationalizes it: the
-// tables' modeled costs, condensed into a calibration table
-// (model_data.go) of per-(system, workload, graph-class) cost curves
-// and exact grid cells, become a cost model a planner can query at
-// request time.
+// tables' modeled costs — the run log of the main experiment grid,
+// embedded as grid.jsonl and condensed on first use into
+// per-(system, workload, graph-class) cost curves and exact grid
+// cells — become a cost model a planner can query at request time.
 //
 // # Decision inputs
 //
@@ -69,13 +69,18 @@
 // Decision.Trace is the multi-line block the graphbench planner
 // artifact prints; the struct itself marshals to JSON for /metrics.
 //
-// # Regenerating the calibration table
+// # Regenerating the calibration
 //
-// model_data.go is generated from a full experiment grid log:
+// The calibration has one source, grid.jsonl, which is the unchanged
+// output of
 //
-//	go run ./cmd/graphbench -grid -log runs.jsonl
+//	GRAPHBENCH_MEM_BUDGET= go run ./cmd/graphbench -grid -log internal/plan/grid.jsonl
 //
-// at datasets.DefaultScale, then least-squares fitting value(m) =
-// a/m + b + c·m per (system, workload, class, axis) over the observed
-// cluster sizes, keeping the exact cells alongside the curves.
+// at the default scale and seed (run from the repository root; the
+// empty budget keeps memory-governor fields out of the log). The
+// first Decide parses it and fits value(m) = a/m + b + c·m per
+// (system, workload, class, axis) over the OK cells by least squares
+// with a, c ≥ 0; the records themselves are the exact cells. Any
+// change to a modeled cost makes core's TestCalibrationGridFresh fail
+// until the log is regenerated with that command.
 package plan

@@ -1,17 +1,16 @@
 package plan
 
 import (
-	"sort"
-
 	"graphbench/internal/datasets"
+	"graphbench/internal/metrics"
 	"graphbench/internal/sim"
 )
 
 // curve is one least-squares cost curve over the cluster size m:
 // value(m) = a/m + b + c*m. The a term captures perfectly parallel
 // work, b the serial floor, c the per-machine overhead (coordination,
-// replicated state). Coefficients are fitted offline to the grid
-// observations in model_data.go.
+// replicated state). calibrate fits the coefficients to the grid
+// observations in grid.jsonl.
 type curve struct{ a, b, c float64 }
 
 func (c curve) at(m int) float64 {
@@ -19,24 +18,14 @@ func (c curve) at(m int) float64 {
 	return c.a/fm + c.b + c.c*fm
 }
 
-// calibCell is one exact grid observation: the modeled outcome of
-// (system, workload, class-reference dataset) at one cluster size.
-// Because modeled costs are bit-deterministic, these are not samples
-// but ground truth — when a request matches the reference workload
-// shape the planner predicts from the cell, not the fitted curve.
-type calibCell struct {
-	Status string // sim failure code, or "OK"
-	Time   float64
-	MemTot float64
-	MemMax float64
-	Net    float64
-	CPU    float64
-}
-
 // calibEntry aggregates the calibration of one (system, workload,
 // graph class): fitted curves for every cost axis, the observed
 // iteration count at the class reference, and the exact per-cluster-
-// size cells.
+// size cells. A cell is the modeled outcome of the class reference
+// dataset at one cluster size; because modeled costs are
+// bit-deterministic, cells are not samples but ground truth — when a
+// request matches the reference workload shape the planner predicts
+// from the cell, not the fitted curve.
 type calibEntry struct {
 	Time   curve
 	MemMax curve
@@ -44,12 +33,8 @@ type calibEntry struct {
 	Net    curve
 	CPU    curve
 	Iters  int
-	At     map[int]calibCell
+	At     map[int]metrics.Resource
 }
-
-// calibration maps "systemKey|workload|class" to its entry; populated
-// by the generated model_data.go.
-var calibration map[string]*calibEntry
 
 // Graph classes the cost model distinguishes. Each maps to the
 // reference dataset whose grid observations calibrated the class.
@@ -133,21 +118,12 @@ const (
 // not a sample); everything else extrapolates on the fitted curves
 // and applies the failure predictors.
 func predict(pr *Profile, sysKey, workload string, m int) Prediction {
-	e := calibration[sysKey+"|"+workload+"|"+pr.Class]
+	e := calibration().entries[sysKey+"|"+workload+"|"+pr.Class]
 	if e == nil {
 		return Prediction{Status: "UNSUP", TimeSec: sim.TimeoutSeconds, Source: "curve"}
 	}
 	if cell, ok := e.At[m]; ok && pr.Dataset == string(classRef[pr.Class]) {
-		return Prediction{
-			Status:     cell.Status,
-			TimeSec:    cell.Time,
-			CPUSec:     cell.CPU,
-			MemTotal:   int64(cell.MemTot),
-			MemMax:     int64(cell.MemMax),
-			NetBytes:   int64(cell.Net),
-			Iterations: e.Iters,
-			Source:     "calibrated",
-		}
+		return fromResource(cell, e.Iters, "calibrated")
 	}
 	ratio := pr.WorkUnits() / refWork(pr.Class)
 	iterRatio := 1.0
@@ -183,19 +159,29 @@ func predict(pr *Profile, sysKey, workload string, m int) Prediction {
 	return p
 }
 
-// modelSystems returns the system keys the cost model covers for a
-// workload, in deterministic (sorted) order: the nine main-grid
-// systems always, plus the four PageRank-only GraphLab variants when
-// the workload is PageRank. The keys mirror core.Systems(); the
-// planner deals in keys so the dependency points plan ← core.
+// fromResource converts run telemetry — a calibrated grid cell or an
+// observed run — into a Prediction. Telemetry without a status counts
+// as OK.
+func fromResource(r metrics.Resource, iters int, source string) Prediction {
+	status := r.Status
+	if status == "" {
+		status = "OK"
+	}
+	return Prediction{
+		Status:     status,
+		TimeSec:    r.TimeSec,
+		CPUSec:     r.CPUSec,
+		MemTotal:   r.MemTotalBytes,
+		MemMax:     r.MemMaxBytes,
+		NetBytes:   r.NetBytes,
+		Iterations: iters,
+		Source:     source,
+	}
+}
+
+// modelSystems returns the system keys the calibration covers for a
+// workload, sorted: the systems the grid ran it on (the main-grid
+// systems, plus the PageRank-only variants on PageRank).
 func modelSystems(workload string) []string {
-	keys := []string{
-		"blogel-b", "blogel-v", "gelly", "giraph", "gl-s-a-i", "gl-s-r-i",
-		"graphx", "hadoop", "haloop",
-	}
-	if workload == "pagerank" {
-		keys = append(keys, "gl-a-a-t", "gl-a-r-t", "gl-s-a-t", "gl-s-r-t")
-		sort.Strings(keys)
-	}
-	return keys
+	return calibration().systems[workload]
 }

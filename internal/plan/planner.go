@@ -176,23 +176,10 @@ func (p *Planner) decide(pr *Profile, req Request) *Decision {
 // been observed. Caller holds p.mu.
 func (p *Planner) lookup(pr *Profile, sys string, req Request) Prediction {
 	k := obsKey{dataset: req.Dataset, workload: req.Workload, system: sys, machines: req.Machines}
-	r, ok := p.observed[k]
-	if !ok {
-		return predict(pr, sys, req.Workload, req.Machines)
+	if r, ok := p.observed[k]; ok {
+		return fromResource(r, 0, "observed")
 	}
-	status := r.Status
-	if status == "" {
-		status = "OK"
-	}
-	return Prediction{
-		Status:   status,
-		TimeSec:  r.TimeSec,
-		CPUSec:   r.CPUSec,
-		MemTotal: r.MemTotalBytes,
-		MemMax:   r.MemMaxBytes,
-		NetBytes: r.NetBytes,
-		Source:   "observed",
-	}
+	return predict(pr, sys, req.Workload, req.Machines)
 }
 
 // Observe feeds one run's realized telemetry back into the cost model:
